@@ -10,11 +10,12 @@ GO ?= go
 # internal/sim. internal/obs is included because its probe/registry/ring
 # types are shared across RunAll goroutines, and internal/metrics because
 # RunAll aggregates its Series concurrently. internal/serve is the
-# serving daemon: HTTP handlers, the batcher goroutine, and shedding
-# gates are all concurrent by construction.
+# serving daemon: HTTP handlers, the report-wait timer, the slot clock
+# and the shedding gates all drive one mutex-guarded slot machine
+# concurrently by construction.
 RACE_PKGS = ./internal/core ./internal/parallel ./internal/assign ./internal/sim ./internal/trace ./internal/obs ./internal/metrics ./internal/serve
 
-.PHONY: all build vet test test-race bench-short bench-short-parallel bench json bench-serve bench-serve-shards bench-diff fuzz-short serve-smoke serve-smoke-shards obs-smoke scenario-smoke ci clean
+.PHONY: all build vet test test-race perfbench-test bench-short bench-short-parallel bench json bench-serve bench-serve-shards bench-diff fuzz-short serve-smoke serve-smoke-shards obs-smoke scenario-smoke ci clean
 
 all: vet test
 
@@ -29,6 +30,12 @@ test:
 
 test-race:
 	$(GO) test -race $(RACE_PKGS)
+
+# The repository benchmark (perfbench/) is a module of its own, so the
+# root `go test ./...` never compiles it, yet it builds against the
+# serve.Config/Engine API. Its own tests keep that dependency honest.
+perfbench-test:
+	cd perfbench && GOFLAGS=-mod=mod $(GO) test ./...
 
 # Quick perf snapshot of the hot path: the allocation-free micro kernels
 # (Decide/Update/Greedy/DepRound/hypercube indexing). All benchmarks
@@ -80,11 +87,10 @@ bench-serve-shards:
 # paper-horizon benchmark AND the serve-layer harness into a scratch file
 # and diffs it against BENCH_core.json. Fails (exit 1) on a >25%
 # timing/allocation regression (core or serve), a serve-throughput drop
-# below 75%, a shard-plane tax (serve_shard_rps_1 below 85% of the same
-# run's serve_http_rps) or a non-monotone shard curve where the machine
-# has the cores, a dropped serve key, or ANY reward-ratio drift — the
-# simulation is deterministic, so a ratio change means the computation
-# itself changed.
+# below 75% (serve_http_rps and serve_shard_rps_1), a non-monotone shard
+# curve where the machine has the cores, a dropped serve key, or ANY
+# reward-ratio drift — the simulation is deterministic, so a ratio change
+# means the computation itself changed.
 bench-diff:
 	rm -f /tmp/BENCH_head.json
 	$(GO) run ./cmd/lfscbench -benchjson /tmp/BENCH_head.json
@@ -138,13 +144,14 @@ scenario-smoke:
 
 # Everything a commit must pass, in the order a CI runner would execute:
 # static checks, the full test suite, the race-detector suite over the
-# concurrency-contract packages, the serving-layer kill-and-resume
-# smokes (unsharded and Shards=4), the observability scrape smoke, the
+# concurrency-contract packages, the repository benchmark's own tests,
+# the serving-layer kill-and-resume smokes (Shards=1 and Shards=4), the
+# observability scrape smoke, the
 # scenario churn smoke, the quick perf kernels (which also assert 0
 # allocs/op on the steady-state paths) at Workers=1 and again at
 # Workers=NumCPU under the race detector, the short-mode shard-scaling
 # curve, and a short fuzz pass over the untrusted-input decoders.
-ci: vet test test-race serve-smoke serve-smoke-shards obs-smoke scenario-smoke bench-short bench-short-parallel bench-serve-shards fuzz-short
+ci: vet test test-race perfbench-test serve-smoke serve-smoke-shards obs-smoke scenario-smoke bench-short bench-short-parallel bench-serve-shards fuzz-short
 
 clean:
 	$(GO) clean ./...

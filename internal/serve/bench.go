@@ -33,7 +33,7 @@ type BenchResult struct {
 	// NsPerSlot is wall time per full slot on the in-process public API
 	// loop: workload generation + one batched Engine.StepInto round trip
 	// (previous slot's reports + this slot's tasks, Decide and Observe on
-	// the engine goroutine). This is the successor of the pre-batching
+	// the caller's stack). This is the successor of the pre-batching
 	// BenchmarkEngineSlot figure (Submit + Report, two dispatches per
 	// slot) and is directly comparable to it.
 	NsPerSlot float64
@@ -490,15 +490,14 @@ func benchHTTP(slots int, seed uint64) (float64, error) {
 	if slots <= 0 {
 		return 0, nil
 	}
-	return benchHTTPScenario(benchScenario(50+slots+16, seed), slots, 1, false)
+	return benchHTTPScenario(benchScenario(50+slots+16, seed), slots, 1)
 }
 
 // benchHTTPScenario is the shared loopback-HTTP throughput loop: boot a
-// daemon on the scenario with the given shard count (shardPlane forces
-// the sharded serving plane even at one shard — the shard-tax baseline),
-// drive it in batched lockstep through a shard-aware connection pool,
-// and report timed round trips per second after warmup.
-func benchHTTPScenario(sc ReplayScenario, slots, shards int, shardPlane bool) (float64, error) {
+// daemon on the scenario with the given shard count, drive it in batched
+// lockstep through a shard-aware connection pool, and report timed round
+// trips per second after warmup.
+func benchHTTPScenario(sc ReplayScenario, slots, shards int) (float64, error) {
 	const warmup = 50
 	cfg, err := sc.EngineConfig()
 	if err != nil {
@@ -506,7 +505,6 @@ func benchHTTPScenario(sc ReplayScenario, slots, shards int, shardPlane bool) (f
 	}
 	cfg.ReportWait = time.Hour
 	cfg.Shards = shards
-	cfg.ShardPlane = shardPlane
 	eng, err := NewEngine(cfg)
 	if err != nil {
 		return 0, err
@@ -547,20 +545,18 @@ func benchHTTPScenario(sc ReplayScenario, slots, shards int, shardPlane bool) (f
 
 // ShardBenchResult carries the shard-scaling figures BENCH_core.json pins
 // (serve_shard_rps_1/2/4): end-to-end /v1/step throughput on the SAME
-// scenario as the headline serve_http_rps figure, run through the sharded
-// serving plane at Shards = 1, 2, 4 (the one-shard point forces
-// Config.ShardPlane, so rps_1 / serve_http_rps is a pure plane-tax
-// ratio). On a single-core runner the three are expected flat (the
-// parallel phase has nowhere to go); benchdiff gates them num_cpu-aware.
+// scenario as the headline serve_http_rps figure at Shards = 1, 2, 4. On
+// a single-core runner the three are expected flat (the parallel phase
+// has nowhere to go); benchdiff gates them num_cpu-aware.
 type ShardBenchResult struct {
 	Rps1 float64
 	Rps2 float64
 	Rps4 float64
 }
 
-// RunShardBench measures loopback /v1/step throughput through the sharded
-// plane at shard counts 1, 2, and 4 on the headline serve scenario. Reps
-// are interleaved ACROSS shard counts (1,2,4, 1,2,4, ...) rather than
+// RunShardBench measures loopback /v1/step throughput at shard counts 1,
+// 2, and 4 on the headline serve scenario. Reps are interleaved ACROSS
+// shard counts (1,2,4, 1,2,4, ...) rather than
 // run as per-count blocks — the same discipline RunBench applies to its
 // bare/probe/obs triples — so slow drift on the runner (thermal, noisy
 // neighbours) biases every count equally instead of penalising whichever
@@ -576,7 +572,7 @@ func RunShardBench(slots int, seed uint64) (ShardBenchResult, error) {
 	for rep := 0; rep < shardBenchReps; rep++ {
 		for i, s := range counts {
 			sc := benchScenario(50+slots+16, seed)
-			rps, err := benchHTTPScenario(sc, slots, s, s == 1)
+			rps, err := benchHTTPScenario(sc, slots, s)
 			if err != nil {
 				return res, fmt.Errorf("serve: shard bench (shards=%d): %w", s, err)
 			}

@@ -9,11 +9,11 @@ import (
 	"path/filepath"
 )
 
-// engineCheckpoint is the daemon's on-disk state: the serving slot
-// counter, the cumulative reward accumulator (so a resumed daemon
-// continues the exact same float addition sequence — hex-float identity
-// with an uninterrupted run), and the learner's own v2 checkpoint as an
-// embedded document.
+// engineCheckpoint is the legacy single-file checkpoint written before
+// the learner was sharded: the serving slot counter, the cumulative
+// reward accumulator, and the full learner's v2 checkpoint as an
+// embedded document. Restore still reads it — the upgrade path — but
+// the engine only writes the manifest layout.
 type engineCheckpoint struct {
 	Version   int     `json:"version"`
 	Slot      int     `json:"slot"`
@@ -39,8 +39,11 @@ type shardCheckpoint struct {
 	Policy  json.RawMessage `json:"policy"`
 }
 
-// checkpointManifest sits at CheckpointPath for a sharded engine and
-// commits one generation of shard files: the shard files are written
+// checkpointManifest sits at CheckpointPath and commits one generation
+// of shard files, alongside the serving slot counter and the cumulative
+// reward accumulator (so a resumed daemon continues the exact same float
+// addition sequence — hex-float identity with an uninterrupted run). The
+// shard files are written
 // first under the new generation number, then the manifest is renamed
 // into place — the atomic commit point — and only then is the previous
 // generation deleted. A crash anywhere leaves the manifest pointing at a
@@ -90,39 +93,14 @@ func shardFilePath(path string, gen uint64, k int) string {
 	return fmt.Sprintf("%s.g%d.s%d", path, gen, k)
 }
 
-// checkpointNow atomically writes the engine's current state to
-// cfg.CheckpointPath: serialise to a temp file in the same directory,
-// fsync, rename. A crash mid-write leaves the previous checkpoint
-// intact; a crash after rename leaves the new one — never a torn file.
-// A sharded engine writes one file per non-empty shard plus the manifest
-// (see checkpointManifest for the commit order). Engine-goroutine only.
+// checkpointNow writes the next checkpoint generation: one file per
+// non-empty shard, then the manifest. Every file goes through
+// atomicWrite, so a crash mid-write never leaves a torn file; shard files
+// land before the manifest rename (the commit), and the previous
+// generation is removed after it. A failure part-way leaves orphan files
+// of the uncommitted generation, overwritten on the next attempt. Call
+// under mu.
 func (e *Engine) checkpointNow() error {
-	if e.pol == nil {
-		return e.checkpointShardedNow()
-	}
-	var pol bytes.Buffer
-	if err := e.pol.Save(&pol); err != nil {
-		return fmt.Errorf("serve: checkpoint: %w", err)
-	}
-	cp := engineCheckpoint{
-		Version:   engineCheckpointVersion,
-		Slot:      e.pol.SlotsSeen(),
-		CumReward: e.CumReward(),
-		Scenario:  e.scenarioDigest(),
-		Policy:    json.RawMessage(bytes.TrimSpace(pol.Bytes())),
-	}
-	data, err := json.Marshal(&cp)
-	if err != nil {
-		return fmt.Errorf("serve: checkpoint: %w", err)
-	}
-	return atomicWrite(e.cfg.CheckpointPath, data)
-}
-
-// checkpointShardedNow writes the next sharded generation. Shard files
-// land before the manifest rename (the commit), the previous generation
-// is removed after it; a failure part-way leaves orphan files of the
-// uncommitted generation, overwritten on the next attempt.
-func (e *Engine) checkpointShardedNow() error {
 	path := e.cfg.CheckpointPath
 	gen := e.ckptGen + 1
 	slot := e.slotsSeen()
@@ -172,7 +150,8 @@ func (e *Engine) checkpointShardedNow() error {
 }
 
 // atomicWrite writes data via a temp file in path's directory plus a
-// rename, syncing the file before the swap.
+// rename, syncing the file before the swap and the directory after it,
+// so the rename itself survives a power loss.
 func atomicWrite(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
@@ -198,24 +177,32 @@ func atomicWrite(path string, data []byte) error {
 		os.Remove(tmp)
 		return fmt.Errorf("serve: checkpoint rename: %w", err)
 	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("serve: checkpoint dir sync: %w", err)
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("serve: checkpoint dir sync: %w", err)
+	}
 	return nil
 }
 
 // Restore loads a daemon checkpoint into the engine. Call before Start.
-// Both layouts are understood, with the engine's own layout deciding how
-// they apply:
+// Both layouts are understood:
 //
-//   - A legacy single-file checkpoint loads into an unsharded engine as
-//     always, and also into a sharded one (each shard's partial learner
-//     takes its owned rows from the full document) — the upgrade path
-//     from a pre-sharding deployment.
-//   - A sharded manifest requires a sharded engine with the identical
-//     shard count (the consistent-hash mapping then reproduces the owned
-//     sets the shard files carry); restoring it into an unsharded engine
-//     or a different shard count is an error, not a reshard.
+//   - A legacy single-file checkpoint loads at any shard count: each
+//     shard's partial learner takes its owned rows from the full
+//     document — the upgrade path from a pre-sharding deployment.
+//   - A manifest requires the identical shard count (the consistent-hash
+//     mapping then reproduces the owned sets the shard files carry);
+//     restoring it into a different shard count is an error, not a
+//     reshard.
 //
-// Unsharded restore validates fully before committing; sharded restore
-// validates every shard file's metadata up front, but a learner-level
+// Restore validates every file's metadata up front, but a learner-level
 // rejection in a later shard can leave earlier shards loaded — callers
 // treat any Restore error as fatal for the engine (lfscd exits), so no
 // half-restored engine ever serves.
@@ -247,26 +234,16 @@ func (e *Engine) Restore(path string) error {
 	if err := e.checkScenario(cp.Scenario); err != nil {
 		return err
 	}
-	if e.pol == nil {
-		// Legacy full document into a sharded engine: every shard loads
-		// its owned rows from the same document.
-		for k, sh := range e.shards {
-			if sh.pol == nil {
-				continue
-			}
-			if err := sh.pol.Load(bytes.NewReader(cp.Policy)); err != nil {
-				return fmt.Errorf("serve: restore shard %d: %w", k, err)
-			}
-			if got := sh.pol.SlotsSeen(); got != cp.Slot {
-				return fmt.Errorf("serve: restore: shard %d slot counter mismatch (engine %d, policy %d)", k, cp.Slot, got)
-			}
+	// Every shard loads its owned rows from the same full document.
+	for k, sh := range e.shards {
+		if sh.pol == nil {
+			continue
 		}
-	} else {
-		if err := e.pol.Load(bytes.NewReader(cp.Policy)); err != nil {
-			return fmt.Errorf("serve: restore: %w", err)
+		if err := sh.pol.Load(bytes.NewReader(cp.Policy)); err != nil {
+			return fmt.Errorf("serve: restore shard %d: %w", k, err)
 		}
-		if got := e.pol.SlotsSeen(); got != cp.Slot {
-			return fmt.Errorf("serve: restore: slot counter mismatch (engine %d, policy %d)", cp.Slot, got)
+		if got := sh.pol.SlotsSeen(); got != cp.Slot {
+			return fmt.Errorf("serve: restore: shard %d slot counter mismatch (engine %d, policy %d)", k, cp.Slot, got)
 		}
 	}
 	e.cumRewardBits.Store(math.Float64bits(cp.CumReward))
@@ -289,13 +266,9 @@ func (e *Engine) restoreSharded(path string, data []byte) error {
 	if err := e.checkScenario(man.Scenario); err != nil {
 		return err
 	}
-	if e.pol != nil {
-		return fmt.Errorf("serve: restore: sharded checkpoint (%d shards) into an unsharded engine — boot with -shards=%d",
-			man.Shards, man.Shards)
-	}
 	if man.Shards != len(e.shards) {
-		return fmt.Errorf("serve: restore: checkpoint has %d shards, engine has %d — resharding is not supported",
-			man.Shards, len(e.shards))
+		return fmt.Errorf("serve: restore: checkpoint has %d shards, engine has %d — boot with -shards=%d; resharding is not supported",
+			man.Shards, len(e.shards), man.Shards)
 	}
 	// Read and structurally validate every shard file before any learner
 	// state moves.

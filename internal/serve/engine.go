@@ -12,7 +12,6 @@ import (
 	"lfsc/internal/hypercube"
 	"lfsc/internal/obs"
 	"lfsc/internal/policy"
-	"lfsc/internal/rng"
 	"lfsc/internal/scenario"
 	"lfsc/internal/task"
 )
@@ -40,7 +39,7 @@ type Config struct {
 	// its own slot index, masking down SCNs out of the view (their
 	// learner state freezes) and attaching per-SCN capacity and budget
 	// vectors. The timeline must cover exactly SCNs cells; it is
-	// immutable and read from the engine goroutine only. Checkpoints
+	// immutable and read only under the engine mutex. Checkpoints
 	// record the scenario digest and Restore refuses a mismatch, so a
 	// resumed daemon replays the identical dynamics. Nil keeps the
 	// static topology.
@@ -48,18 +47,11 @@ type Config struct {
 
 	// Shards splits the learner across N partial learners (consistent-hash
 	// SCN groups), run in parallel for the per-SCN stages of Decide and
-	// Observe and joined by a k-way-merged resolution stage. 0 or 1 keeps
-	// the single flat learner. Decisions are bit-identical at any shard
-	// count; checkpoints become one file per shard plus a manifest at
+	// Observe and joined by a k-way-merged resolution stage. 0 or 1 is a
+	// single shard owning every SCN. Decisions are bit-identical at any
+	// shard count; checkpoints are one file per shard plus a manifest at
 	// CheckpointPath (see DESIGN.md §11).
 	Shards int
-	// ShardPlane forces the sharded serving plane (router, partial
-	// learner, merger) even at Shards ≤ 1. A bench/diagnostic knob: the
-	// shard-scaling baseline serve_shard_rps_1 runs the headline workload
-	// through a one-shard plane, so its ratio against serve_http_rps
-	// isolates the plane's fixed tax from any parallelism. Decisions stay
-	// bit-identical to the flat engine.
-	ShardPlane bool
 
 	// Serving knobs.
 	//
@@ -74,8 +66,11 @@ type Config struct {
 	// QueueCap bounds tasks accepted but not yet decided; submissions
 	// that would exceed it are shed with 429. Zero defaults to 4*MaxBatch.
 	QueueCap int
-	// SubQueue is the submission channel depth (whole submissions).
-	// Zero defaults to 64.
+	// SubQueue bounds the backlog: whole submissions that arrived while
+	// the accumulating batch could not take them (it is bound to close,
+	// or they would push an SCN past KMax) and wait, in arrival order,
+	// for the next batch. A submission that would join a full backlog is
+	// shed with 429. Zero defaults to 64.
 	SubQueue int
 	// ReportWait bounds how long a decided slot stays open for outcome
 	// reports before Observe runs with whatever arrived. Zero defaults
@@ -141,11 +136,12 @@ func (c *Config) withDefaults() Config {
 	return cp
 }
 
-// stepReply is the engine's answer to a queued wireReq: the slot decision
-// for its submission part (slot/base/assigned, with assigned aliasing the
-// request's own assignedBuf), the absorption result of its report part
-// (accepted/repErr — step requests only), and err for terminal failures
-// (engine stopped, late pure report).
+// stepReply is the engine's answer to a dispatched wireReq: the slot
+// decision for its submission part (slot/base/assigned, with assigned
+// aliasing the request's own assignedBuf), the absorption result of its
+// report part (accepted, and repErr for a step whose submission went
+// ahead), and err for terminal failures (shed, engine stopped, late pure
+// report).
 type stepReply struct {
 	slot     int
 	base     int
@@ -157,56 +153,53 @@ type stepReply struct {
 
 var errStopped = errors.New("serve: engine stopped")
 
-// Engine is the serving core: one logical owner walks the strict slot
-// protocol (batch → Decide → reply → collect reports → Observe → maybe
-// checkpoint), so the policy never sees concurrent calls. Handlers
-// communicate over bounded channels carrying pooled wireReq objects;
-// when a queue is full the submission is shed, never blocked on.
+// Engine is the serving core: it walks the strict slot protocol (batch
+// → Decide → reply → collect reports → Observe → maybe checkpoint), so
+// the learner never sees concurrent calls.
 //
-// The slot protocol is an explicit state machine guarded by mu rather
-// than code positions in a goroutine: ingest* feeds events in, advance
-// drives decide/finish transitions until the machine parks. The engine
-// goroutine runs that machine for channel traffic, ticks, and the
-// report-wait timer — but a lockstep caller whose step request closes
-// the open slot and the next batch runs the whole transition inline on
-// its own stack (tryStepInline), with no channel handoff or context
-// switch. Decide/Observe still run strictly in slot order under mu —
-// inlining changes which stack does the work, never the order the
-// learner sees it, which is why the bit-identity tests pass unchanged.
+// The protocol is an explicit state machine guarded by one mutex, and
+// there is no engine goroutine: every request runs its own transitions
+// on its caller's stack (dispatch), which feeds the request in and then
+// lets advance drive decide/finish transitions until the machine parks. In
+// lockstep, a step request that completes the open slot and closes the
+// next batch therefore decides that batch before it returns, with no
+// handoff or context switch. Two timers own the only transitions no
+// request triggers: the report-wait deadline (a time.AfterFunc) and, when
+// SlotEvery is set, the slot clock (a small ticker goroutine). Decide and
+// Observe run strictly in slot order under mu, whichever stack runs them,
+// which is why decisions are bit-identical to an offline sim.Run.
 //
-// The loop remains pipelined for channel traffic: while slot t sits
-// open collecting outcome reports, the engine keeps draining the
-// submission channel, so slot t+1's batch accumulates (and its wire
-// decoding proceeds on handler goroutines) during slot t's report wait
-// and Observe.
+// The machine stays pipelined: while slot t sits open collecting outcome
+// reports (and while its Observe runs with mu released), submissions for
+// slot t+1 are admitted into the next batch, their decoding and staging
+// done on their own stacks. Submissions the batch cannot take wait in a
+// bounded FIFO backlog, re-admitted in arrival order.
 type Engine struct {
 	cfg Config
-	// pol is the flat learner (Shards ≤ 1); nil when sharded. The sharded
-	// learner plane lives in shards/merger/owner/router, reached through
-	// the slotsSeen/decide/observe/snapshotPolicy helpers (shard.go) so
-	// the slot machine itself is layout-agnostic.
-	pol    *core.LFSC
+	// The learner plane: one partial learner per consistent-hash shard,
+	// joined by the merger (shard.go). Shards ≤ 1 is a single shard.
 	shards []*engineShard
 	merger *core.Merger
 	owner  []int
-	router *Router
-	// ckptGen is the sharded-checkpoint generation counter (engine
-	// goroutine only): shard files are written under the next generation
-	// and committed by the manifest rename, then the previous generation
-	// is deleted — a crash at any point leaves one complete generation.
+	// ckptGen is the checkpoint generation counter (under mu): shard
+	// files are written under the next generation and committed by the
+	// manifest rename, then the previous generation is deleted — a crash
+	// at any point leaves one complete generation.
 	ckptGen uint64
 	part    *hypercube.Partition
 
-	subCh    chan *wireReq
-	repCh    chan *wireReq
-	stopCh   chan struct{}
+	// done is closed once Stop or Abort has shut the machine down; the
+	// slot clock goroutine exits on it and clockWG waits for that.
 	done     chan struct{}
 	stopOnce sync.Once
-	abort    atomic.Bool
+	clockWG  sync.WaitGroup
 
 	// reqPool recycles wireReq objects across requests. A plain buffered
 	// channel, not a sync.Pool: the GC never drains it, which is what
-	// lets steady-state handling stay at 0 allocs/request.
+	// lets steady-state handling stay at 0 allocs/request. It is a cache,
+	// not a bound: sized for a full backlog (SubQueue) plus reqPoolSlack
+	// requests in the filling batch and in handlers; a request past that
+	// is allocated fresh and left to the GC.
 	reqPool chan *wireReq
 
 	// pending counts tasks accepted into the queue but not yet decided —
@@ -237,27 +230,20 @@ type Engine struct {
 
 	rs *obs.RunStatus
 
-	// mu guards all slot-machine state below: the engine goroutine holds
-	// it while processing events, and releases it only while parked in
-	// select — which is the window the inline step fast path uses
-	// (TryLock) to run transitions on a caller's stack.
+	// mu guards all slot-machine state below. cond (on mu) signals the
+	// machine's waits: Start for requests that arrived before it, the end
+	// of a pipelined Observe for Stop and the slot clock, and Stop for
+	// everyone.
 	mu       sync.Mutex
+	cond     *sync.Cond
 	running  bool
 	stopping bool
-	// kickCh wakes the parked engine goroutine so it re-evaluates its
-	// select gating after an inline caller changed machine state the
-	// current park doesn't cover (e.g. opened a slot while the park has
-	// no timer case armed).
-	kickCh chan struct{}
-	// parkedTimer records whether the engine's current (or imminent)
-	// park includes the report-wait timer case.
-	parkedTimer bool
 
-	// Slot-loop state (guarded by mu). deferred holds a drained
-	// submission that would overflow the accumulating batch past KMax;
-	// it opens the next slot as soon as the current batch is served.
-	batch    slotBatch
-	deferred *wireReq
+	// Slot-loop state (guarded by mu). backlog holds, in arrival order,
+	// the submissions the accumulating batch could not take; advance
+	// re-admits them from the head as soon as a batch can.
+	batch   slotBatch
+	backlog []*wireReq
 	// Ingest staging (guarded by mu): each admitted submission is routed
 	// into per-shard, per-SCN coverage rows at admission time, so closing
 	// a slot publishes already-partitioned buffers instead of re-scanning
@@ -272,18 +258,16 @@ type Engine struct {
 	// is the last reader of slot t's view.
 	view policy.SlotView
 	// scnShard/scnLocal map each SCN to its owning learner shard and its
-	// row within that shard's staging block (flat engine: one
-	// pseudo-shard, identity rows). Immutable after NewEngine.
+	// row within that shard's staging block. Immutable after NewEngine.
 	scnShard []int
 	scnLocal []int
 	// observing marks the pipelined-close window: finishSlot is running
 	// Observe for slot t with mu RELEASED, so handlers can decode,
 	// validate, and stage slot t+1's traffic concurrently. Every
 	// transition that could race the learner (decideSlot, advance's
-	// deferred/close branches, shutdown's flush) gates on it; obsCond
-	// wakes shutdown when the window closes.
+	// decide/finish branches, shutdown's flush) gates on it; cond wakes
+	// the waiters when the window closes.
 	observing bool
-	obsCond   *sync.Cond
 	// scen is the per-slot scenario view scratch (guarded by mu; only
 	// meaningful while deciding when cfg.Scenario != nil).
 	scen   scenario.View
@@ -321,33 +305,27 @@ type Engine struct {
 	trViewNS    uint64
 	trDecideNS  uint64
 	trDecideEnd time.Time
-	// lastMergeNS is the most recent Merger.Resolve duration (sharded
-	// engines only; written in decide under mu).
+	// lastMergeNS is the most recent Merger.Resolve duration (written in
+	// decide under mu).
 	lastMergeNS uint64
 	// mergeLat is the merge-stage duration histogram (one Record per
-	// sharded slot), exported as lfsc_serve_merge_ns.
+	// slot), exported as lfsc_serve_merge_seconds.
 	mergeLat obs.Histogram
-	// Staged-ingest timing (traced sharded engines only — cfg.SlotRing !=
-	// nil && router != nil, see admit; guarded by mu): trStageNS
-	// accumulates staging time for the slot being batched
-	// and is published as openStageNS at close; trOverlapNS accumulates
-	// staging time landing inside the open slot's observe window — the
-	// pipelined close's measured ingest overlap.
+	// Staged-ingest timing (traced engines only — cfg.SlotRing != nil,
+	// see admit; guarded by mu): trStageNS accumulates staging time for
+	// the slot being batched and is published as openStageNS at close;
+	// trOverlapNS accumulates staging time landing inside the open slot's
+	// observe window — the pipelined close's measured ingest overlap.
 	trStageNS   uint64
 	openStageNS uint64
 	trOverlapNS uint64
 
-	// Report-wait timer, reused across slots. Armed and drained only by
-	// the engine goroutine (inline callers never touch it — they kick the
-	// loop instead), so the classic Stop/drain/Reset dance stays
-	// single-goroutine. timerFired tracks whether the last arm was
-	// consumed from timer.C. The timer is armed lazily: an already-armed
-	// timer whose deadline is not after the slot's is left alone and its
-	// (early) fire handled as spurious, so the steady fast-slot path
-	// never touches timer state at all.
-	timer         *time.Timer
-	timerFired    bool
-	timerDeadline time.Time
+	// Report-wait timer (guarded by mu), armed lazily: decideSlot arms it
+	// only when it is idle, and a fire before the open slot's deadline
+	// (it was armed for an earlier slot) re-arms it for that deadline, so
+	// the steady fast-slot path never touches timer state.
+	timer      *time.Timer
+	timerArmed bool
 }
 
 // NewEngine builds the engine (learner, partition, queues) without
@@ -374,42 +352,18 @@ func NewEngine(cfg Config) (*Engine, error) {
 	e := &Engine{
 		cfg:     cfg,
 		part:    part,
-		subCh:   make(chan *wireReq, cfg.SubQueue),
-		repCh:   make(chan *wireReq, cfg.SubQueue),
-		stopCh:  make(chan struct{}),
 		done:    make(chan struct{}),
-		kickCh:  make(chan struct{}, 1),
-		reqPool: make(chan *wireReq, 2*cfg.SubQueue+8),
+		reqPool: make(chan *wireReq, cfg.SubQueue+reqPoolSlack),
 	}
-	if cfg.Shards > 1 || cfg.ShardPlane {
-		shards, merger, owner, router, err := buildShards(coreCfg, cfg.Seed, cfg.Shards)
-		if err != nil {
-			return nil, err
-		}
-		e.shards, e.merger, e.owner, e.router = shards, merger, owner, router
-	} else {
-		pol, err := core.New(coreCfg, rng.New(cfg.Seed).Derive(3))
-		if err != nil {
-			return nil, fmt.Errorf("serve: learner: %w", err)
-		}
-		e.pol = pol
+	e.shards, e.merger, e.owner, err = buildShards(coreCfg, cfg.Seed, cfg.Shards)
+	if err != nil {
+		return nil, err
 	}
 	e.batch.init(cfg.SCNs)
-	// SCN→(staging shard, local row) tables: the flat engine stages as one
-	// pseudo-shard with identity rows, so the staging and publish code is
-	// layout-agnostic.
-	numStage := 1
-	if e.router != nil {
-		numStage = cfg.Shards
-	}
 	e.scnShard = make([]int, cfg.SCNs)
 	e.scnLocal = make([]int, cfg.SCNs)
-	rows := make([]int, numStage)
-	for m := 0; m < cfg.SCNs; m++ {
-		k := 0
-		if e.router != nil {
-			k = e.owner[m]
-		}
+	rows := make([]int, cfg.Shards)
+	for m, k := range e.owner {
 		e.scnShard[m] = k
 		e.scnLocal[m] = rows[k]
 		rows[k]++
@@ -417,12 +371,15 @@ func NewEngine(cfg Config) (*Engine, error) {
 	for i := range e.stages {
 		e.stages[i].init(rows)
 	}
-	e.obsCond = sync.NewCond(&e.mu)
+	e.cond = sync.NewCond(&e.mu)
 	if cfg.Metrics != nil {
 		e.registerMetrics(cfg.Metrics)
 	}
 	return e, nil
 }
+
+// reqPoolSlack is the pooled-request headroom beyond the backlog.
+const reqPoolSlack = 64
 
 // getReq takes a wireReq from the pool (or allocates the pool's first
 // few). The caller owns it until putReq.
@@ -436,30 +393,18 @@ func (e *Engine) getReq() *wireReq {
 }
 
 // putReq resets and recycles a wireReq. Only call once the engine can no
-// longer reference it: after its reply was received, or before it was
-// ever enqueued.
+// longer reference it: after dispatch returned, or before it was called.
 func (e *Engine) putReq(q *wireReq) {
 	q.reset()
-	// Drain a reply that raced with an engine-stopped exit so the pooled
-	// object never resurfaces with a stale message buffered.
-	select {
-	case <-q.resp:
-	default:
-	}
 	select {
 	case e.reqPool <- q:
 	default:
 	}
 }
 
-// Policy exposes the learner for introspection (status pages, tests).
-// The engine goroutine owns all mutating calls; callers must only use
-// read-only accessors, and only when the engine is stopped or between
-// their own lockstep requests. Returns nil on a sharded engine (the
-// learner plane is then split across partial learners).
-func (e *Engine) Policy() *core.LFSC { return e.pol }
-
-// Start launches the engine loop. The engine serves until Stop or Abort.
+// Start opens the engine for requests (ones that arrived earlier have
+// been waiting for it) and, with SlotEvery set, starts the slot clock.
+// The engine serves until Stop or Abort.
 func (e *Engine) Start() {
 	if e.cfg.Registry != nil {
 		e.rs = e.cfg.Registry.NewRun("lfscd", e.cfg.Horizon)
@@ -468,25 +413,36 @@ func (e *Engine) Start() {
 			e.rs.RecordSlot(cum)
 		}
 	}
-	go e.loop()
+	e.mu.Lock()
+	e.running = true
+	e.slotAtomic.Store(int64(e.slotsSeen()))
+	e.cond.Broadcast()
+	e.mu.Unlock()
+	if e.cfg.SlotEvery > 0 {
+		e.clockWG.Add(1)
+		go e.clock()
+	}
 }
 
-// Stop closes the engine gracefully: the loop finishes the slot in
-// flight, writes a final checkpoint (when configured), fails queued
-// submissions, and exits. Stop and Abort are idempotent between them.
-func (e *Engine) Stop() {
-	e.stopOnce.Do(func() { close(e.stopCh) })
-	<-e.done
-	e.rs.Finish()
-}
+// Stop closes the engine gracefully: it finishes the slot in flight
+// (and decides a batch already bound to close) with whatever reports
+// arrived, writes a final checkpoint (when configured), and fails every
+// submission still waiting. Stop and Abort are idempotent between them.
+func (e *Engine) Stop() { e.stop(false) }
 
-// Abort is the unclean shutdown used by kill-and-resume tests: the loop
-// exits without writing a final checkpoint, as if the process had been
-// killed. Only checkpoints already on disk survive.
-func (e *Engine) Abort() {
-	e.abort.Store(true)
-	e.stopOnce.Do(func() { close(e.stopCh) })
-	<-e.done
+// Abort is the unclean shutdown used by kill-and-resume tests: as Stop,
+// but without the final checkpoint, as if the process had been killed.
+// Only checkpoints already on disk survive.
+func (e *Engine) Abort() { e.stop(true) }
+
+func (e *Engine) stop(abort bool) {
+	e.stopOnce.Do(func() {
+		e.mu.Lock()
+		e.shutdown(abort)
+		e.mu.Unlock()
+		close(e.done)
+		e.clockWG.Wait()
+	})
 	e.rs.Finish()
 }
 
@@ -502,7 +458,23 @@ func (e *Engine) CumReward() float64 {
 // Stats snapshots the serving counters (status pages and /v1/stats —
 // the cold path; it may allocate).
 func (e *Engine) Stats() Stats {
-	st := e.statsCore()
+	st := Stats{
+		Slot:           e.Slot(),
+		CumReward:      e.CumReward(),
+		SubmittedTasks: e.submittedTasks.Load(),
+		DecidedTasks:   e.decidedTasks.Load(),
+		AssignedTasks:  e.assignedTasks.Load(),
+		ReportedTasks:  e.reportedTasks.Load(),
+		SlotsServed:    e.slotsServed.Load(),
+		ShedRequests:   e.shedRequests.Load(),
+		ShedTasks:      e.shedTasks.Load(),
+		LateSlots:      e.lateSlots.Load(),
+		LateReports:    e.lateReports.Load(),
+		SubmitLatency:  e.submitLat.Stat("submit"),
+		ReportLatency:  e.reportLat.Stat("report"),
+		StepLatency:    e.stepLat.Stat("step"),
+		ShedLatency:    e.shedLat.Stat("shed"),
+	}
 	if e.cfg.SLO != nil {
 		rep := e.cfg.SLO.Report()
 		st.SLO = &rep
@@ -532,26 +504,6 @@ func (e *Engine) Stats() Stats {
 		})
 	}
 	return st
-}
-
-func (e *Engine) statsCore() Stats {
-	return Stats{
-		Slot:           e.Slot(),
-		CumReward:      e.CumReward(),
-		SubmittedTasks: e.submittedTasks.Load(),
-		DecidedTasks:   e.decidedTasks.Load(),
-		AssignedTasks:  e.assignedTasks.Load(),
-		ReportedTasks:  e.reportedTasks.Load(),
-		SlotsServed:    e.slotsServed.Load(),
-		ShedRequests:   e.shedRequests.Load(),
-		ShedTasks:      e.shedTasks.Load(),
-		LateSlots:      e.lateSlots.Load(),
-		LateReports:    e.lateReports.Load(),
-		SubmitLatency:  e.submitLat.Stat("submit"),
-		ReportLatency:  e.reportLat.Stat("report"),
-		StepLatency:    e.stepLat.Stat("step"),
-		ShedLatency:    e.shedLat.Stat("shed"),
-	}
 }
 
 // errShed marks a shed submission (mapped to 429 by the HTTP layer).
@@ -650,135 +602,89 @@ func (e *Engine) validateTasks(q *wireReq) error {
 	return nil
 }
 
-// dispatchSubmit pushes a validated wireReq through the two backpressure
-// gates and waits for the slot decision. On shed the request never
-// enters the queue and the caller still owns it.
-func (e *Engine) dispatchSubmit(q *wireReq) (stepReply, error) {
+// dispatch runs one validated request through the slot machine on the
+// caller's stack: the pending-task gate, then under mu the backlog gate,
+// ingest and advance — which in lockstep decides the next slot before
+// the lock is released. A submission then waits for its reply, already
+// buffered in lockstep, otherwise sent by whichever stack closes its
+// slot (or fails it on Stop). Every submission that enters the machine
+// is replied to exactly once, so q is the caller's again when dispatch
+// returns. A pure report (no tasks) is answered directly.
+//
+// A shed submission still has its report part absorbed (rep.accepted),
+// so backpressure on the next slot never starves the open slot's
+// Observe. Requests that arrive before Start wait for it.
+func (e *Engine) dispatch(q *wireReq) (stepReply, error) {
 	n := int64(len(q.tasks))
-	// Gate 1: the pending-task budget. Reserve optimistically and roll
-	// back on shed so concurrent submitters cannot stampede past the cap.
-	if e.pending.Add(n) > int64(e.cfg.QueueCap) {
-		e.pending.Add(-n)
-		e.shedRequests.Add(1)
-		e.shedTasks.Add(uint64(n))
-		e.accountShed(q)
-		return stepReply{}, shedTaskQueue
+	// Gate 1: the pending-task budget. Reserve optimistically so
+	// concurrent submitters cannot stampede past the cap.
+	overBudget := n > 0 && e.pending.Add(n) > int64(e.cfg.QueueCap)
+	e.mu.Lock()
+	for !e.running && !e.stopping {
+		e.cond.Wait()
 	}
-	// Gate 2: the submission channel. Never block the handler — a full
-	// channel means the batcher is behind; shed.
-	select {
-	case e.subCh <- q:
-	default:
+	// Gate 2: the backlog depth. A submission the batch cannot take now
+	// waits behind earlier ones, up to SubQueue of them.
+	wait := n > 0 && (len(e.backlog) > 0 || e.batch.shouldClose(e.cfg.MaxBatch, e.cfg.KMax) ||
+		e.batch.wouldOverflow(q, e.cfg.KMax))
+	var err error
+	switch {
+	case e.stopping:
+		err = errStopped
+	case overBudget:
+		err = shedTaskQueue
+	case wait && len(e.backlog) >= e.cfg.SubQueue:
+		err = shedSubQueue
+	}
+	if err == errStopped {
+		e.mu.Unlock()
 		e.pending.Add(-n)
-		e.shedRequests.Add(1)
-		e.shedTasks.Add(uint64(n))
-		e.accountShed(q)
-		return stepReply{}, shedSubQueue
+		return stepReply{}, err
+	}
+	if err != nil || n == 0 {
+		// A pure report, or a shed submission: only the report part (if
+		// any) enters the machine, and the answer is immediate.
+		var rep stepReply
+		if len(q.reports) > 0 {
+			rep.accepted, rep.err = e.absorbPart(q)
+			e.advance()
+		}
+		if err != nil {
+			e.pending.Add(-n)
+			e.shedRequests.Add(1)
+			e.shedTasks.Add(uint64(n))
+			e.accountShed(q)
+			rep.err = err
+		}
+		e.mu.Unlock()
+		return rep, rep.err
 	}
 	e.submittedTasks.Add(uint64(n))
-	select {
-	case rep := <-q.resp:
-		return rep, rep.err
-	case <-e.done:
-		return stepReply{}, errStopped
+	if len(q.reports) > 0 {
+		q.repAccepted, q.repErr = e.absorbPart(q)
 	}
-}
-
-// kick wakes the parked engine loop so it recomputes its select gating.
-func (e *Engine) kick() {
-	select {
-	case e.kickCh <- struct{}{}:
-	default:
+	e.accountRouting(q)
+	if wait {
+		e.backlog = append(e.backlog, q)
+	} else {
+		e.admit(q)
 	}
-}
-
-// kickIfStale wakes the loop when the machine parked in a state the
-// engine's current select doesn't cover: a slot opened without a timer
-// case armed, or a batch closed (or overflow deferred) while subCh is
-// still being drained. Call under mu after inline transitions.
-func (e *Engine) kickIfStale() {
-	if (e.openActive && e.openRemaining > 0 && !e.parkedTimer) ||
-		e.deferred != nil || e.batch.shouldClose(e.cfg.MaxBatch, e.cfg.KMax) {
-		e.kick()
-	}
-}
-
-// tryStepInline runs a validated submission through the slot machine on
-// the caller's own stack when the engine is parked and the channels are
-// idle: absorb the report part, admit the tasks, advance — which in
-// lockstep operation decides the next slot before the call returns,
-// with no channel handoff or context switch. Returns ok=false when the
-// fast path's preconditions don't hold; the caller must then dispatch
-// through the channels. When ok, the semantics (shed accounting, reply,
-// error surface) are exactly those of dispatchSubmit.
-func (e *Engine) tryStepInline(q *wireReq) (stepReply, error, bool) {
-	if !e.mu.TryLock() {
-		return stepReply{}, nil, false
-	}
-	if !e.running || e.stopping || e.deferred != nil || len(e.subCh) > 0 || len(e.repCh) > 0 {
-		e.mu.Unlock()
-		return stepReply{}, nil, false
-	}
-	// The pending-task gate, exactly as dispatchSubmit applies it. The
-	// subCh gate has no inline analogue: the request never queues.
-	n := int64(len(q.tasks))
-	if e.pending.Add(n) > int64(e.cfg.QueueCap) {
-		e.pending.Add(-n)
-		e.mu.Unlock()
-		e.shedRequests.Add(1)
-		e.shedTasks.Add(uint64(n))
-		e.accountShed(q)
-		return stepReply{}, shedTaskQueue, true
-	}
-	e.submittedTasks.Add(uint64(n))
-	e.ingestStep(q)
 	e.advance()
-	e.kickIfStale()
 	e.mu.Unlock()
-	// In lockstep the reply is already buffered and the select returns
-	// without parking; otherwise wait like the channel path does (the
-	// batch is still accumulating, or the open slot still needs other
-	// clients' reports).
-	select {
-	case rep := <-q.resp:
-		return rep, rep.err, true
-	case <-e.done:
-		return stepReply{}, errStopped, true
-	}
+	rep := <-q.resp
+	return rep, rep.err
 }
 
-// tryReportInline is the pure-report inline path: absorb into the open
-// slot (or reject as late) on the caller's stack. The reply is always
-// immediate. Returns ok=false when the preconditions don't hold.
-func (e *Engine) tryReportInline(q *wireReq) (stepReply, bool) {
-	if !e.mu.TryLock() {
-		return stepReply{}, false
+// absorbPart absorbs q's report part into the open slot, or rejects it
+// as late when no slot is open. Call under mu.
+func (e *Engine) absorbPart(q *wireReq) (int, error) {
+	if !e.openActive {
+		e.lateReports.Add(1)
+		return 0, &lateReportError{slot: q.slot, open: int(e.slotAtomic.Load())}
 	}
-	if !e.running || e.stopping || len(e.subCh) > 0 || len(e.repCh) > 0 {
-		e.mu.Unlock()
-		return stepReply{}, false
-	}
-	e.ingestReport(q)
-	e.advance()
-	e.kickIfStale()
-	e.mu.Unlock()
-	return <-q.resp, true
-}
-
-// dispatchReport delivers a pure report (no tasks) and waits for the
-// absorb result.
-func (e *Engine) dispatchReport(q *wireReq) (stepReply, error) {
-	select {
-	case e.repCh <- q:
-	case <-e.done:
-		return stepReply{}, errStopped
-	}
-	select {
-	case rep := <-q.resp:
-		return rep, rep.err
-	case <-e.done:
-		return stepReply{}, errStopped
-	}
+	acc, err := e.absorbReports(e.openSlot, e.openN, e.openAssigned, q.slot, q.reports)
+	e.openRemaining -= acc
+	return acc, err
 }
 
 // sloOutcome tags how a request ended for reqDone: validation and
@@ -793,10 +699,11 @@ const (
 )
 
 // reqDone closes a request's latency measurement with a single clock
-// read feeding both the per-endpoint histogram and (for validated
-// requests) the rolling SLO window — Histogram.Observe plus SLO.Record
-// would read the clock twice per request, and on the target machines a
-// clock read costs as much as the whole recording path.
+// read feeding the per-endpoint histogram, the shed histogram for a shed
+// request, and (for validated requests) the rolling SLO window —
+// Histogram.Observe plus SLO.Record would read the clock twice per
+// request, and on the target machines a clock read costs as much as the
+// whole recording path.
 func (e *Engine) reqDone(h *obs.Histogram, start time.Time, out sloOutcome) {
 	now := time.Now()
 	d := now.Sub(start)
@@ -804,6 +711,9 @@ func (e *Engine) reqDone(h *obs.Histogram, start time.Time, out sloOutcome) {
 		d = 0
 	}
 	h.Record(uint64(d))
+	if out == sloShed {
+		e.shedLat.Record(uint64(d))
+	}
 	if out != sloSkip {
 		e.cfg.SLO.RecordAt(now.Unix(), uint64(d), out == sloShed)
 	}
@@ -819,34 +729,25 @@ func (e *Engine) Submit(req *SubmitRequest) (*SubmitResponse, error) {
 	out := sloSkip
 	defer func() { e.reqDone(&e.submitLat, start, out) }()
 	q := e.getReq()
+	defer e.putReq(q)
 	q.tasks = append(q.tasks[:0], req.Tasks...)
 	q.close = req.Close
 	if err := e.validateTasks(q); err != nil {
-		e.putReq(q)
 		return nil, err
 	}
-	rep, err, ok := e.tryStepInline(q)
-	if !ok {
-		rep, err = e.dispatchSubmit(q)
-	}
+	rep, err := e.dispatch(q)
 	if err != nil {
 		if IsShed(err) {
 			out = sloShed
-			e.shedLat.Observe(start)
-			e.putReq(q)
 		}
-		// Engine stopped: the reply may still arrive; leak q to the GC
-		// rather than recycle an object the engine could touch.
 		return nil, err
 	}
 	out = sloOK
-	resp := &SubmitResponse{Slot: rep.slot, Base: rep.base, Assigned: append([]int(nil), rep.assigned...)}
-	e.putReq(q)
-	return resp, nil
+	return &SubmitResponse{Slot: rep.slot, Base: rep.base, Assigned: append([]int(nil), rep.assigned...)}, nil
 }
 
-// Report delivers realised outcomes for the open slot, blocking until
-// absorbed or rejected.
+// Report delivers realised outcomes for the open slot and returns once
+// they are absorbed or rejected.
 func (e *Engine) Report(req *ReportRequest) (*ReportResponse, error) {
 	start := time.Now()
 	out := sloSkip
@@ -855,28 +756,17 @@ func (e *Engine) Report(req *ReportRequest) (*ReportResponse, error) {
 		return nil, fmt.Errorf("serve: empty report")
 	}
 	q := e.getReq()
+	defer e.putReq(q)
 	q.slot = req.Slot
-	q.hasSlot = true
 	q.reports = append(q.reports[:0], req.Reports...)
-	q.hasReps = true
-	rep, ok := e.tryReportInline(q)
-	var err error
-	if ok {
-		err = rep.err
-	} else {
-		rep, err = e.dispatchReport(q)
+	rep, err := e.dispatch(q)
+	if !errors.Is(err, errStopped) {
+		out = sloOK
 	}
 	if err != nil {
-		if !errors.Is(err, errStopped) {
-			out = sloOK
-			e.putReq(q)
-		}
 		return nil, err
 	}
-	out = sloOK
-	resp := &ReportResponse{Accepted: rep.accepted}
-	e.putReq(q)
-	return resp, nil
+	return &ReportResponse{Accepted: rep.accepted}, nil
 }
 
 // StepInto is the batched round-trip: deliver the previous slot's
@@ -896,191 +786,98 @@ func (e *Engine) StepInto(req *StepRequest, resp *StepResponse) error {
 	resp.Slot, resp.Base = 0, 0
 	resp.Assigned = resp.Assigned[:0]
 	q := e.getReq()
+	defer e.putReq(q)
 	q.tasks = append(q.tasks[:0], req.Tasks...)
 	q.close = req.Close
 	q.slot = req.Slot
-	q.hasSlot = true
 	q.reports = append(q.reports[:0], req.Reports...)
-	q.hasReps = len(req.Reports) > 0
 	if err := e.validateTasks(q); err != nil {
-		e.putReq(q)
 		return err
 	}
-	rep, err, ok := e.tryStepInline(q)
-	if !ok {
-		rep, err = e.dispatchSubmit(q)
-	}
+	rep, err := e.dispatch(q)
+	resp.Accepted = rep.accepted
 	if err != nil {
 		if IsShed(err) {
 			out = sloShed
-			e.shedLat.Observe(start)
-			if len(q.reports) > 0 {
-				if rrep, rerr := e.dispatchReport(q); rerr == nil {
-					resp.Accepted = rrep.accepted
-				} else if errors.Is(rerr, errStopped) {
-					// The engine may still touch q; leak it to the GC.
-					return err
-				}
-			}
-			e.putReq(q)
 		}
 		return err
 	}
 	out = sloOK
-	resp.Accepted = rep.accepted
 	if rep.repErr != nil {
 		resp.ReportError = rep.repErr.Error()
 	}
 	resp.Slot = rep.slot
 	resp.Base = rep.base
 	resp.Assigned = append(resp.Assigned[:0], rep.assigned...)
-	e.putReq(q)
 	return nil
 }
 
-// Step is the allocating convenience wrapper over StepInto.
-func (e *Engine) Step(req *StepRequest) (*StepResponse, error) {
-	resp := &StepResponse{}
-	err := e.StepInto(req, resp)
-	if err != nil {
-		if IsShed(err) {
-			return resp, err
-		}
-		return nil, err
-	}
-	return resp, nil
-}
-
-// loop is the engine goroutine: it parks in select and feeds events into
-// the slot state machine. All machine transitions run under mu, whether
-// on this goroutine or inlined on a lockstep caller's stack.
-func (e *Engine) loop() {
-	defer close(e.done)
-	var tickCh <-chan time.Time
-	if e.cfg.SlotEvery > 0 {
-		t := time.NewTicker(e.cfg.SlotEvery)
-		defer t.Stop()
-		tickCh = t.C
-	}
-	e.mu.Lock()
-	e.running = true
-	e.slotAtomic.Store(int64(e.slotsSeen()))
-	e.mu.Unlock()
+// clock is the slot clock (SlotEvery > 0): on each tick a non-empty
+// batch closes (decideSlot is a no-op on an empty one — no arrivals, no
+// slot). A tick that lands while a slot is open or observing waits for
+// that window to end: deferred, never dropped.
+func (e *Engine) clock() {
+	defer e.clockWG.Done()
+	t := time.NewTicker(e.cfg.SlotEvery)
+	defer t.Stop()
 	for {
-		// Compute the park's gating under mu, then wait unlocked — the
-		// window inline callers use. Draining subCh pauses once the next
-		// batch is closed or an overflow submission is deferred; the slot
-		// clock only matters between slots (a tick landing during a report
-		// wait stays buffered in the ticker, as before the flattening);
-		// the timer case exists only while a slot is open.
-		e.mu.Lock()
-		subCh := e.subCh
-		if e.deferred != nil || e.batch.shouldClose(e.cfg.MaxBatch, e.cfg.KMax) {
-			subCh = nil
-		}
-		ticks := tickCh
-		var timerC <-chan time.Time
-		if e.openActive {
-			ticks = nil
-			e.armTimerBy(e.openDeadline)
-			timerC = e.timer.C
-			e.parkedTimer = true
-		} else {
-			if e.observing {
-				// A pipelined Observe is in flight on another stack: a tick
-				// consumed now would hit the observing-gated decideSlot and
-				// be lost. Leave it buffered in the ticker, exactly as an
-				// open slot does; finishSlot kicks this park when the
-				// window closes.
-				ticks = nil
-			}
-			e.parkedTimer = false
-		}
-		e.mu.Unlock()
-
 		select {
-		case q := <-subCh:
-			e.mu.Lock()
-			e.ingestStep(q)
-			e.advance()
-			e.mu.Unlock()
-		case q := <-e.repCh:
-			e.mu.Lock()
-			e.ingestReport(q)
-			e.advance()
-			e.mu.Unlock()
-		case <-ticks:
-			// Slot clock: a non-empty batch closes on each tick (decideSlot
-			// is a no-op on an empty one — no arrivals, no slot).
-			e.mu.Lock()
-			e.decideSlot()
-			e.advance()
-			e.mu.Unlock()
-		case <-timerC:
-			e.mu.Lock()
-			e.timerFired = true
-			if e.openActive && !time.Now().Before(e.openDeadline) {
-				// Report wait expired: Observe with whatever arrived.
-				e.lateSlots.Add(1)
-				e.openTimedOut = true
-				e.openRemaining = 0
-				e.advance()
-			}
-			// Otherwise the fire was armed for an earlier slot's deadline
-			// (or the slot closed inline before the fire landed): spurious;
-			// the next park re-arms.
-			e.mu.Unlock()
-		case <-e.kickCh:
-			// An inline caller changed machine state this park's gating
-			// doesn't reflect; just re-park.
-		case <-e.stopCh:
-			e.mu.Lock()
-			e.shutdown()
-			e.mu.Unlock()
+		case <-t.C:
+		case <-e.done:
 			return
 		}
-	}
-}
-
-// ingestStep feeds a drained step/submit request into the machine: its
-// report part is absorbed into the open slot (or rejected as late when
-// no slot is open), its tasks join the accumulating batch. Call under mu.
-func (e *Engine) ingestStep(q *wireReq) {
-	if len(q.reports) > 0 {
-		if e.openActive {
-			q.repAccepted, q.repErr = e.absorbReports(e.openSlot, e.openN, e.openAssigned, q.slot, q.reports)
-			e.openRemaining -= q.repAccepted
-		} else {
-			// A step's report part arriving between slots: the slot it
-			// reports on has already closed.
-			e.lateReports.Add(1)
-			q.repErr = &lateReportError{slot: q.slot, open: int(e.slotAtomic.Load())}
+		e.mu.Lock()
+		for (e.openActive || e.observing) && !e.stopping {
+			e.cond.Wait()
 		}
+		if !e.stopping {
+			e.decideSlot()
+			e.advance()
+		}
+		e.mu.Unlock()
 	}
-	e.accountRouting(q)
-	e.admit(q)
 }
 
-// ingestReport feeds a pure report into the machine and replies with the
-// absorb result immediately (its resp channel is buffered). Call under mu.
-func (e *Engine) ingestReport(q *wireReq) {
-	if e.openActive {
-		acc, err := e.absorbReports(e.openSlot, e.openN, e.openAssigned, q.slot, q.reports)
-		e.openRemaining -= acc
-		q.resp <- stepReply{accepted: acc, err: err}
+// reportDeadline runs when the report-wait timer fires. It times the
+// open slot out once its deadline has passed — Observe then runs with
+// whatever reports arrived — or re-arms for the deadline of the slot now
+// open (the timer was armed for an earlier one).
+func (e *Engine) reportDeadline() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.timerArmed = false
+	if !e.openActive || e.stopping {
 		return
 	}
-	e.lateReports.Add(1)
-	q.resp <- stepReply{err: &lateReportError{slot: q.slot, open: int(e.slotAtomic.Load())}}
+	if d := time.Until(e.openDeadline); d > 0 {
+		e.timerArmed = true
+		e.timer.Reset(d)
+		return
+	}
+	e.lateSlots.Add(1)
+	e.openTimedOut = true
+	e.openRemaining = 0
+	e.advance()
 }
 
-// advance drives the machine until it parks: finish the open slot once
-// every expected report is in (or the engine is stopping), serve the
-// batch a deferred overflow submission forced out and then re-admit it,
-// and decide a batch that is bound to close (explicit close, MaxBatch,
-// KMax). Call under mu.
+// advance drives the machine until it parks: re-admit the backlog in
+// arrival order while the accumulating batch can take its head, finish
+// the open slot once every expected report is in (or the engine is
+// stopping), and decide a batch that is bound to close (explicit close,
+// MaxBatch, KMax) or that the backlog head would overflow. Call under mu.
 func (e *Engine) advance() {
 	for {
+		// Admission is safe even mid-Observe: it only touches the next
+		// slot's staging arena.
+		if len(e.backlog) > 0 && !e.stopping && !e.batch.shouldClose(e.cfg.MaxBatch, e.cfg.KMax) &&
+			!e.batch.wouldOverflow(e.backlog[0], e.cfg.KMax) {
+			q := e.backlog[0]
+			copy(e.backlog, e.backlog[1:])
+			e.backlog[len(e.backlog)-1] = nil
+			e.backlog = e.backlog[:len(e.backlog)-1]
+			e.admit(q)
+			continue
+		}
 		if e.observing {
 			// Slot t's Observe is running with mu released on the finishing
 			// stack; no transition may touch the learner until it lands.
@@ -1095,14 +892,9 @@ func (e *Engine) advance() {
 			e.finishSlot()
 			continue
 		}
-		if e.deferred != nil {
-			e.decideSlot()
-			q := e.deferred
-			e.deferred = nil
-			e.admit(q)
-			continue
-		}
-		if e.batch.shouldClose(e.cfg.MaxBatch, e.cfg.KMax) {
+		// The backlog head is still waiting here only if the batch is
+		// non-empty and cannot take it: serve the batch first.
+		if e.batch.shouldClose(e.cfg.MaxBatch, e.cfg.KMax) || (len(e.backlog) > 0 && !e.stopping) {
 			e.decideSlot()
 			continue
 		}
@@ -1110,25 +902,18 @@ func (e *Engine) advance() {
 	}
 }
 
-// admit adds a drained submission to the accumulating batch, or parks it
-// in deferred when it would push a coverage list past KMax (the batch
-// must be served first). The park gating stops draining subCh while
-// deferred is set. Admitted tasks are staged into the current arena
+// admit adds a submission to the accumulating batch (the caller has
+// checked it fits). Its tasks are staged into the current arena
 // immediately — admission order is slot order — so the close has
 // nothing left to partition. Call under mu.
 func (e *Engine) admit(q *wireReq) {
-	if e.batch.wouldOverflow(q.tasks, e.cfg.KMax) {
-		e.deferred = q
-		return
-	}
 	e.batch.add(q, e.stages[e.cur].n)
-	// Stage timing is a sharded-plane feature: it exists to attribute
-	// ingest cost across shards and to size the pipelined-close overlap,
-	// and the two clock reads per admission are real money on the flat
-	// fast path (the obs stack is pinned at ≤5% over the probe baseline,
-	// and a pair of clock reads per request blows most of that budget).
-	// Flat traced engines report stage_ns 0.
-	if e.cfg.SlotRing == nil || e.router == nil {
+	// Stage timing runs on traced multi-shard engines only: it attributes
+	// ingest cost across shards and sizes the pipelined-close overlap, and
+	// its two clock reads per admission would eat most of the one-shard
+	// obs budget (benchdiff pins the obs stack at ≤5% over the probe).
+	// One-shard traced engines report stage_ns 0.
+	if e.cfg.SlotRing == nil || len(e.shards) == 1 {
 		e.stageSub(q)
 		return
 	}
@@ -1139,7 +924,7 @@ func (e *Engine) admit(q *wireReq) {
 	if e.observing {
 		e.trOverlapNS += d
 	}
-	e.shards[e.router.Shard(q.tasks[0].SCNs[0])].stageAccNS += d
+	e.shards[e.scnShard[q.tasks[0].SCNs[0]]].stageAccNS += d
 }
 
 // stageSub routes a submission's tasks into the current staging arena:
@@ -1165,52 +950,36 @@ func (e *Engine) stageSub(q *wireReq) {
 	st.n += len(q.tasks)
 }
 
-// shutdown finishes the engine: flush the slot in flight (and any batch
+// shutdown finishes the engine: flush the slot in flight (and a batch
 // already bound to close) with whatever reports arrived, write a final
-// checkpoint (unless aborted), then fail everything still queued so no
-// handler blocks forever. Call under mu.
-func (e *Engine) shutdown() {
+// checkpoint (unless aborting), then fail every submission still
+// waiting, so no caller blocks forever. Call under mu.
+func (e *Engine) shutdown(abort bool) {
 	e.stopping = true
+	e.cond.Broadcast()
 	// A pipelined Observe may be in flight on another stack with mu
 	// released; wait for its window to close before flushing, so the
 	// final advance sees a quiescent learner.
 	for e.observing {
-		e.obsCond.Wait()
+		e.cond.Wait()
 	}
 	e.advance()
-	if !e.abort.Load() && e.cfg.CheckpointPath != "" {
+	if !abort && e.cfg.CheckpointPath != "" {
 		// Best effort — the periodic checkpoint remains if this fails.
 		_ = e.checkpointNow()
 	}
-	e.failBatch(errStopped)
-	if q := e.deferred; q != nil {
-		e.deferred = nil
+	for _, q := range append(e.batch.subs, e.backlog...) {
 		e.pending.Add(-int64(len(q.tasks)))
 		q.resp <- stepReply{err: errStopped}
 	}
-	e.running = false
-	for {
-		select {
-		case q := <-e.subCh:
-			e.pending.Add(-int64(len(q.tasks)))
-			q.resp <- stepReply{err: errStopped}
-		case q := <-e.repCh:
-			q.resp <- stepReply{err: errStopped}
-		default:
-			return
-		}
-	}
-}
-
-func (e *Engine) failBatch(err error) {
-	for _, q := range e.batch.subs {
-		e.pending.Add(-int64(len(q.tasks)))
-		q.resp <- stepReply{err: err}
-	}
 	e.batch.reset()
+	e.backlog = nil
 	// The failed submissions' tasks were already staged; drop them with
 	// the batch so the arena cannot leak into a later slot.
 	e.stages[e.cur].reset()
+	if e.timer != nil {
+		e.timer.Stop()
+	}
 }
 
 // decideSlot closes the accumulated batch and opens the slot: publish
@@ -1340,6 +1109,14 @@ func (e *Engine) decideSlot() {
 	}
 	e.openSpan = span
 	e.openTimedOut = false
+	if !e.timerArmed {
+		e.timerArmed = true
+		if e.timer == nil {
+			e.timer = time.AfterFunc(time.Until(e.openDeadline), e.reportDeadline)
+		} else {
+			e.timer.Reset(time.Until(e.openDeadline))
+		}
+	}
 }
 
 // finishSlot closes the open slot: build the feedback from whatever
@@ -1347,9 +1124,7 @@ func (e *Engine) decideSlot() {
 // the mutex is RELEASED for the Observe itself (the pipelined close) —
 // handlers decode, validate, and stage the next slot's traffic on their
 // own stacks while the learner updates, with the observing flag gating
-// every transition that could touch the learner mid-flight. An inline
-// lockstep step that closes the slot still runs the whole sequence —
-// including the unlocked Observe — on the caller's stack.
+// every transition that could touch the learner mid-flight.
 func (e *Engine) finishSlot() {
 	probe := e.cfg.Probe
 	traced := e.cfg.SlotRing != nil
@@ -1397,12 +1172,7 @@ func (e *Engine) finishSlot() {
 	}
 	e.mu.Lock()
 	e.observing = false
-	e.obsCond.Broadcast()
-	if e.cfg.SlotEvery > 0 {
-		// A tick may have landed while the loop's park had the ticker
-		// gated for the window; wake it so the buffered tick is seen.
-		e.kick()
-	}
+	e.cond.Broadcast()
 	if instr {
 		span = probe.LapAt(obs.PhaseObserve, span, obsEnd)
 		if traced {
@@ -1453,39 +1223,16 @@ func (e *Engine) finishSlot() {
 		rec.ObserveNS = observeNS
 		rec.ObserveOverlapNS = e.trOverlapNS
 		rec.CheckpointNS = ckptNS
-		for _, sh := range e.shards {
-			rec.ShardDecideNS = append(rec.ShardDecideNS, sh.lastDecideNS.Load())
-			rec.ShardObserveNS = append(rec.ShardObserveNS, sh.lastObserveNS.Load())
-			rec.ShardStageNS = append(rec.ShardStageNS, sh.lastStageNS.Load())
+		// One shard's breakdown is the slot's own, so the ring keeps none.
+		if len(e.shards) > 1 {
+			for _, sh := range e.shards {
+				rec.ShardDecideNS = append(rec.ShardDecideNS, sh.lastDecideNS.Load())
+				rec.ShardObserveNS = append(rec.ShardObserveNS, sh.lastObserveNS.Load())
+				rec.ShardStageNS = append(rec.ShardStageNS, sh.lastStageNS.Load())
+			}
 		}
 		e.cfg.SlotRing.Publish()
 	}
-}
-
-// armTimerBy readies the reused report-wait timer to fire no later than
-// deadline. If the timer is already armed for an earlier (or equal)
-// deadline it is left untouched — the loop treats a fire before the
-// open slot's true deadline as spurious and re-parks — which keeps the
-// steady fast-slot path free of Stop/Reset timer traffic entirely.
-// Otherwise: classic pre-1.23 semantics — Stop, drain the channel if an
-// old fire is still buffered, then Reset. Called only from the engine
-// goroutine (inline callers kick the loop rather than arm the timer),
-// so the drain never races a concurrent receive.
-func (e *Engine) armTimerBy(deadline time.Time) {
-	if e.timer == nil {
-		e.timer = time.NewTimer(time.Until(deadline))
-		e.timerDeadline = deadline
-		return
-	}
-	if !e.timerFired && !e.timerDeadline.After(deadline) {
-		return
-	}
-	if !e.timer.Stop() && !e.timerFired {
-		<-e.timer.C
-	}
-	e.timerFired = false
-	e.timer.Reset(time.Until(deadline))
-	e.timerDeadline = deadline
 }
 
 // absorbReports validates a whole report batch against the open slot and
@@ -1548,29 +1295,22 @@ func (b *slotBatch) init(scns int) {
 	b.scnCount = make([]int, scns)
 }
 
-// wouldOverflow reports whether adding tasks would push any SCN's
-// coverage past kMax — the "slot is full at KMax" close condition. An
-// empty batch never overflows (a lone oversized submission was already
-// rejected by validation).
-func (b *slotBatch) wouldOverflow(tasks []TaskSpec, kMax int) bool {
+// wouldOverflow reports whether adding q would push any SCN's coverage
+// past kMax — the "slot is full at KMax" close condition — using q's
+// per-SCN counts from validateTasks. An empty batch never overflows (a
+// lone oversized submission was already rejected by validation).
+func (b *slotBatch) wouldOverflow(q *wireReq, kMax int) bool {
 	if b.n == 0 {
 		return false
 	}
-	for i := range tasks {
-		for _, m := range tasks[i].SCNs {
-			b.scnCount[m]++
-		}
-	}
-	over := false
-	for i := range tasks {
-		for _, m := range tasks[i].SCNs {
-			if b.scnCount[m] > kMax {
-				over = true
+	for i := range q.tasks {
+		for _, m := range q.tasks[i].SCNs {
+			if b.scnCount[m]+q.counts[m] > kMax {
+				return true
 			}
-			b.scnCount[m]--
 		}
 	}
-	return over
+	return false
 }
 
 // add sequences a submission: base is its first task's slot index (the

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"encoding/json"
-	"errors"
 	"expvar"
 	"fmt"
 	"net"
@@ -34,6 +33,20 @@ type Server struct {
 	ln  net.Listener
 	srv *http.Server
 }
+
+// HTTP server timeouts, fixed rather than flags. Reading a request —
+// header and body — is bounded, so a slow or stalled client cannot pin a
+// handler goroutine and its pooled request, and idle keep-alive
+// connections are reaped. There is deliberately no write timeout: a
+// submit or step blocks until its slot is decided.
+const (
+	serverReadTimeout = 30 * time.Second
+	serverIdleTimeout = 2 * time.Minute
+)
+
+// serverReadHeaderTimeout bounds reading a request header. A variable
+// only so tests can shorten it.
+var serverReadHeaderTimeout = 5 * time.Second
 
 // serveExpvar mirrors the obs expvar pattern: Publish is forever, so the
 // "lfsc_serve" var registers once and re-points at the latest engine.
@@ -89,7 +102,12 @@ func StartServer(addr string, eng *Engine) (*Server, error) {
 		eng.writeStatus(w, time.Since(start))
 	})
 
-	s := &Server{ln: ln, srv: &http.Server{Handler: mux}}
+	s := &Server{ln: ln, srv: &http.Server{
+		Handler:           mux,
+		ReadHeaderTimeout: serverReadHeaderTimeout,
+		ReadTimeout:       serverReadTimeout,
+		IdleTimeout:       serverIdleTimeout,
+	}}
 	go s.srv.Serve(ln) //nolint:errcheck // Serve returns ErrServerClosed on Close
 	return s, nil
 }
@@ -127,8 +145,8 @@ func (e *Engine) writeErrReq(w http.ResponseWriter, q *wireReq, status int, msg 
 	e.writeBody(w, q, status)
 }
 
-// writeErrAlloc is the cold-path error writer for when no pooled request
-// is available (or the request can no longer be recycled).
+// writeErrAlloc is the cold-path error writer for requests refused
+// before a pooled request was taken.
 func writeErrAlloc(w http.ResponseWriter, status int, msg string) {
 	setJSONHeader(w)
 	w.WriteHeader(status)
@@ -158,7 +176,7 @@ func (e *Engine) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		e.writeErrReq(w, q, http.StatusBadRequest, err.Error(), 0)
 		return
 	}
-	rep, err := e.dispatchSubmit(q)
+	rep, err := e.dispatch(q)
 	switch {
 	case err == nil:
 		out = sloOK
@@ -166,12 +184,7 @@ func (e *Engine) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		e.writeBody(w, q, http.StatusOK)
 	case IsShed(err):
 		out = sloShed
-		e.shedLat.Observe(start)
 		e.writeErrReq(w, q, http.StatusTooManyRequests, err.Error(), 0)
-	case errors.Is(err, errStopped):
-		// The engine may still hold (or race a reply into) q — do not
-		// recycle it.
-		writeErrAlloc(w, http.StatusBadRequest, err.Error())
 	default:
 		e.writeErrReq(w, q, http.StatusBadRequest, err.Error(), 0)
 	}
@@ -200,7 +213,13 @@ func (e *Engine) handleReport(w http.ResponseWriter, r *http.Request) {
 		e.writeErrReq(w, q, http.StatusBadRequest, "serve: empty report", 0)
 		return
 	}
-	rep, err := e.dispatchReport(q)
+	// dispatch treats any request with tasks as a submission, and these
+	// tasks were never validated.
+	if len(q.tasks) > 0 {
+		e.writeErrReq(w, q, http.StatusBadRequest, "serve: report carries tasks", 0)
+		return
+	}
+	rep, err := e.dispatch(q)
 	switch {
 	case err == nil:
 		out = sloOK
@@ -209,8 +228,6 @@ func (e *Engine) handleReport(w http.ResponseWriter, r *http.Request) {
 	case IsLateReport(err):
 		out = sloOK
 		e.writeErrReq(w, q, http.StatusGone, err.Error(), 0)
-	case errors.Is(err, errStopped):
-		writeErrAlloc(w, http.StatusBadRequest, err.Error())
 	default:
 		e.writeErrReq(w, q, http.StatusBadRequest, err.Error(), 0)
 	}
@@ -244,7 +261,7 @@ func (e *Engine) handleStep(w http.ResponseWriter, r *http.Request) {
 		e.writeErrReq(w, q, http.StatusBadRequest, err.Error(), 0)
 		return
 	}
-	rep, err := e.dispatchSubmit(q)
+	rep, err := e.dispatch(q)
 	switch {
 	case err == nil:
 		out = sloOK
@@ -256,20 +273,7 @@ func (e *Engine) handleStep(w http.ResponseWriter, r *http.Request) {
 		e.writeBody(w, q, http.StatusOK)
 	case IsShed(err):
 		out = sloShed
-		e.shedLat.Observe(start)
-		accepted := 0
-		if len(q.reports) > 0 {
-			rrep, rerr := e.dispatchReport(q)
-			if rerr == nil {
-				accepted = rrep.accepted
-			} else if errors.Is(rerr, errStopped) {
-				writeErrAlloc(w, http.StatusTooManyRequests, err.Error())
-				return
-			}
-		}
-		e.writeErrReq(w, q, http.StatusTooManyRequests, err.Error(), accepted)
-	case errors.Is(err, errStopped):
-		writeErrAlloc(w, http.StatusBadRequest, err.Error())
+		e.writeErrReq(w, q, http.StatusTooManyRequests, err.Error(), rep.accepted)
 	default:
 		e.writeErrReq(w, q, http.StatusBadRequest, err.Error(), 0)
 	}
@@ -309,7 +313,7 @@ func (e *Engine) writeStatus(w http.ResponseWriter, up time.Duration) {
 			100*s.ShedRate, 100*s.ShedBudget, budget)
 	}
 	// Per-shard lines read only the shard atomics — the learner state
-	// itself belongs to the engine goroutine.
+	// itself is guarded by the engine mutex.
 	for _, sh := range st.Shards {
 		fmt.Fprintf(w, "shard %d: scns %d  routed subs %d  tasks %d  shed %d  last decide %v observe %v\n",
 			sh.Shard, sh.SCNs, sh.RoutedSubs, sh.RoutedTasks, sh.ShedTasks,

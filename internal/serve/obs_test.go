@@ -334,6 +334,17 @@ func TestObsSmokeScrape(t *testing.T) {
 	if second.values["lfsc_slot"] != T {
 		t.Errorf("lfsc_slot = %v, want %d", second.values["lfsc_slot"], T)
 	}
+	// The merge stage is a duration family in seconds like every other:
+	// one sample per slot, each far below a second at this scale.
+	if n := second.values["lfsc_serve_merge_seconds_count"]; n != T {
+		t.Errorf("lfsc_serve_merge_seconds_count = %v, want %d", n, T)
+	}
+	if mean := second.values["lfsc_serve_merge_seconds_sum"] / T; mean <= 0 || mean >= 1 {
+		t.Errorf("mean merge duration %v s is not in seconds", mean)
+	}
+	if _, ok := second.types["lfsc_serve_merge_ns"]; ok {
+		t.Error("the merge histogram is still exported under its old name lfsc_serve_merge_ns")
+	}
 }
 
 // TestSlotsEndpointAndStatus covers the /lfsc/slots trace surface and

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -341,6 +342,43 @@ func TestOverloadShedsAndStaysAlive(t *testing.T) {
 	eng.Stop()
 }
 
+// TestStalledHeaderConnectionClosed pins the server's read-header
+// timeout: a client that sends half a request header and then stalls has
+// its connection closed, instead of pinning a handler goroutine (and a
+// pooled request) for as long as it likes.
+func TestStalledHeaderConnectionClosed(t *testing.T) {
+	saved := serverReadHeaderTimeout
+	serverReadHeaderTimeout = 50 * time.Millisecond
+	defer func() { serverReadHeaderTimeout = saved }()
+	eng, srv, _ := bootDaemon(t, testScenario(10, 1), nil)
+	defer srv.Close()
+	defer eng.Stop()
+
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("POST /v1/step HTTP/1.1\r\nHost: lfscd\r\nContent-Ty")); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := conn.SetReadDeadline(start.Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 512)
+	for {
+		_, err := conn.Read(buf)
+		if err == nil {
+			continue // an error response ahead of the close is fine
+		}
+		if ne, ok := err.(net.Error); ok && ne.Timeout() {
+			t.Fatalf("stalled half-sent header still connected after %v", time.Since(start))
+		}
+		break // EOF or reset: the server hung up
+	}
+}
+
 // atomic64 avoids importing sync/atomic types into test signatures.
 type atomic64 struct {
 	mu sync.Mutex
@@ -443,6 +481,58 @@ func TestReportValidation(t *testing.T) {
 		Reports: []TaskReport{{Task: assignedIdx, U: 0.5, V: 1, Q: 1.5}},
 	}); err == nil {
 		t.Fatal("duplicate report accepted")
+	}
+}
+
+// TestReportWithTasksRejected pins that /v1/report refuses a body that
+// also carries tasks: they would otherwise reach the batcher unvalidated
+// (here with an out-of-range SCN) and wedge the engine. A lockstep run
+// afterwards must still complete.
+func TestReportWithTasksRejected(t *testing.T) {
+	const T = 20
+	sc := testScenario(T, 9)
+	eng, srv, client := bootDaemon(t, sc, nil)
+	defer srv.Close()
+	defer func() {
+		stopped := make(chan struct{})
+		go func() { eng.Stop(); close(stopped) }()
+		select {
+		case <-stopped:
+		case <-time.After(10 * time.Second):
+			t.Error("engine wedged: Stop never returned")
+		}
+	}()
+
+	body := `{"slot":0,"reports":[{"task":0,"u":0.5,"v":1,"q":1.5}],` +
+		`"tasks":[{"ctx":[0.5,0.5,0.5],"scns":[99]}]}`
+	resp, err := http.Post("http://"+srv.Addr()+"/v1/report", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "report carries tasks") {
+		t.Fatalf("report with tasks: status %d body %s, want 400 'report carries tasks'", resp.StatusCode, msg)
+	}
+
+	done := make(chan error, 1)
+	go func() {
+		rep, err := NewReplayer(sc)
+		if err == nil {
+			_, err = rep.Run(client, 0, T, nil)
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("lockstep run after a rejected report never finished")
+	}
+	if st := eng.Stats(); st.SubmittedTasks != st.DecidedTasks || eng.Slot() != T {
+		t.Fatalf("after %d lockstep slots: slot %d, stats %+v", T, eng.Slot(), st)
 	}
 }
 

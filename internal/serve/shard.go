@@ -12,7 +12,7 @@ import (
 	"lfsc/internal/rng"
 )
 
-// engineShard is one learner shard of a sharded engine: a partial LFSC
+// engineShard is one learner shard of the engine: a partial LFSC
 // learner owning a consistent-hash-assigned SCN group, plus routing
 // counters. The shard's learner holds its own weights, multipliers, RNG
 // streams, and per-SCN scratch; pol is nil when no SCN hashed to this
@@ -24,8 +24,7 @@ type engineShard struct {
 
 	// Routing accounting (atomics: written under the engine's mu, read by
 	// the status handler's goroutine). shedTasks counts tasks shed by the
-	// backpressure gates, attributed to the submission's home shard
-	// (written on handler goroutines — the shed paths never hold mu).
+	// backpressure gates, attributed to the submission's home shard.
 	routedSubs  atomic.Uint64
 	routedTasks atomic.Uint64
 	shedTasks   atomic.Uint64
@@ -46,16 +45,15 @@ type engineShard struct {
 	lastStageNS atomic.Uint64
 }
 
-// buildShards constructs the sharded learner plane: a consistent-hash
+// buildShards constructs the learner plane: a consistent-hash
 // router over cfg.Shards shards, one partial learner per non-empty shard
 // (every shard's learner derives its per-SCN streams from the same root —
 // rng Derive is pure, so the streams are bit-identical to an unsharded
 // learner's), and the merger stitched over all of them. The per-shard
 // learners run with Workers=1: the engine parallelises across shards, and
 // nesting the core's own fan-out inside that would oversubscribe.
-func buildShards(coreCfg core.Config, seed uint64, shards int) ([]*engineShard, *core.Merger, []int, *Router, error) {
-	router := NewRouter(shards)
-	owner, ownedOf := router.OwnerMap(coreCfg.SCNs)
+func buildShards(coreCfg core.Config, seed uint64, shards int) ([]*engineShard, *core.Merger, []int, error) {
+	owner, ownedOf := NewRouter(shards).OwnerMap(coreCfg.SCNs)
 	shardCfg := coreCfg
 	shardCfg.Workers = 1
 	es := make([]*engineShard, shards)
@@ -67,14 +65,14 @@ func buildShards(coreCfg core.Config, seed uint64, shards int) ([]*engineShard, 
 		}
 		pol, err := core.NewPartial(shardCfg, rng.New(seed).Derive(3), ownedOf[k])
 		if err != nil {
-			return nil, nil, nil, nil, fmt.Errorf("serve: shard %d learner: %w", k, err)
+			return nil, nil, nil, fmt.Errorf("serve: shard %d learner: %w", k, err)
 		}
 		es[k].pol = pol
 		learners[k] = pol
 	}
 	merger, err := core.NewMerger(coreCfg, learners, owner)
 	if err != nil {
-		return nil, nil, nil, nil, fmt.Errorf("serve: merger: %w", err)
+		return nil, nil, nil, fmt.Errorf("serve: merger: %w", err)
 	}
 	// The resolution stage's edge merge parallelises across the same
 	// worker budget as the per-shard fan-out: heavy slots run the
@@ -82,16 +80,13 @@ func buildShards(coreCfg core.Config, seed uint64, shards int) ([]*engineShard, 
 	// k-way heap merge (bit-identical output — see assign.
 	// TournamentMergeInto).
 	merger.SetMergeWorkers(shards)
-	return es, merger, owner, router, nil
+	return es, merger, owner, nil
 }
 
 // slotsSeen returns the learner plane's slot clock. All shards advance
 // their clocks in lockstep (every shard Observes every slot), so the
 // first non-empty shard speaks for all; restore verifies the invariant.
 func (e *Engine) slotsSeen() int {
-	if e.pol != nil {
-		return e.pol.SlotsSeen()
-	}
 	for _, sh := range e.shards {
 		if sh.pol != nil {
 			return sh.pol.SlotsSeen()
@@ -100,26 +95,25 @@ func (e *Engine) slotsSeen() int {
 	return 0
 }
 
-// decide runs the slot's decision across the learner plane. Unsharded:
-// the learner's own Decide. Sharded: the two-phase barrier — every shard
-// computes its SCNs' probabilities, candidate samples, and pre-sorted
-// edge lists in parallel (phase one), then the merger's resolution
-// produces the global greedy assignment (phase two, with the edge merge
-// itself parallelised as a deterministic tournament on heavy slots).
-// The resolver code is shared with the unsharded path, so the assignment
-// is bit-identical at any shard count.
+// decide runs the slot's decision across the learner plane as a
+// two-phase barrier: every shard computes its SCNs' probabilities,
+// candidate samples, and pre-sorted edge lists in parallel (phase one),
+// then the merger's resolution produces the global greedy assignment
+// (phase two, with the edge merge itself parallelised as a deterministic
+// tournament on heavy slots). The resolver code is shared with the
+// unsharded core.LFSC.Decide, so the assignment is bit-identical at any
+// shard count.
 func (e *Engine) decide(view *policy.SlotView) []int {
-	if e.pol != nil {
-		return e.pol.Decide(view)
+	var t0 time.Time
+	if len(e.shards) == 1 {
+		// One shard runs its leg inline: no fan-out and no closure, which
+		// keeps the lockstep wire path at 0 allocs/request. The leg's end
+		// clock read doubles as the merge's start.
+		t0 = e.shards[0].decideLocal(view)
+	} else {
+		parallel.ForDynamic(len(e.shards), len(e.shards), func(k int) { e.shards[k].decideLocal(view) })
+		t0 = time.Now()
 	}
-	parallel.ForDynamic(len(e.shards), len(e.shards), func(k int) {
-		if sh := e.shards[k]; sh.pol != nil {
-			t0 := time.Now()
-			sh.pol.DecideLocal(view)
-			sh.lastDecideNS.Store(uint64(time.Since(t0)))
-		}
-	})
-	t0 := time.Now()
 	assigned := e.merger.Resolve(view)
 	e.lastMergeNS = uint64(time.Since(t0))
 	e.mergeLat.Record(e.lastMergeNS)
@@ -131,17 +125,34 @@ func (e *Engine) decide(view *policy.SlotView) []int {
 // read-only; every learner buckets it with private scratch), so shards
 // run in parallel with no synchronisation beyond the barrier.
 func (e *Engine) observe(view *policy.SlotView, assigned []int, fb *policy.Feedback) {
-	if e.pol != nil {
-		e.pol.Observe(view, assigned, fb)
+	if len(e.shards) == 1 {
+		e.shards[0].observe(view, assigned, fb)
 		return
 	}
-	parallel.ForDynamic(len(e.shards), len(e.shards), func(k int) {
-		if sh := e.shards[k]; sh.pol != nil {
-			t0 := time.Now()
-			sh.pol.Observe(view, assigned, fb)
-			sh.lastObserveNS.Store(uint64(time.Since(t0)))
-		}
-	})
+	parallel.ForDynamic(len(e.shards), len(e.shards), func(k int) { e.shards[k].observe(view, assigned, fb) })
+}
+
+// decideLocal is the shard's phase-one leg of decide, timed; it returns
+// the clock read that ends the leg.
+func (sh *engineShard) decideLocal(view *policy.SlotView) time.Time {
+	t0 := time.Now()
+	if sh.pol == nil {
+		return t0
+	}
+	sh.pol.DecideLocal(view)
+	t1 := time.Now()
+	sh.lastDecideNS.Store(uint64(t1.Sub(t0)))
+	return t1
+}
+
+// observe is the shard's leg of the slot's Observe, timed.
+func (sh *engineShard) observe(view *policy.SlotView, assigned []int, fb *policy.Feedback) {
+	if sh.pol == nil {
+		return
+	}
+	t0 := time.Now()
+	sh.pol.Observe(view, assigned, fb)
+	sh.lastObserveNS.Store(uint64(time.Since(t0)))
 }
 
 // snapshotPolicy aggregates the learner plane into one policy snapshot.
@@ -150,11 +161,6 @@ func (e *Engine) observe(view *policy.SlotView, assigned []int, fb *policy.Feedb
 // per-SCN view; the owner map is stamped alongside so /lfsc/status and
 // snapshot sinks can attribute rows to shards.
 func (e *Engine) snapshotPolicy(into *obs.PolicySnapshot) {
-	if e.pol != nil {
-		e.pol.Snapshot(into)
-		into.Owner = into.Owner[:0]
-		return
-	}
 	for _, sh := range e.shards {
 		if sh.pol != nil {
 			sh.pol.Snapshot(into)
@@ -169,22 +175,20 @@ func (e *Engine) snapshotPolicy(into *obs.PolicySnapshot) {
 // client-side ShardPool routes by). Called once per ingested submission,
 // under mu.
 func (e *Engine) accountRouting(q *wireReq) {
-	if e.router == nil || len(q.tasks) == 0 || len(q.tasks[0].SCNs) == 0 {
+	if len(q.tasks) == 0 || len(q.tasks[0].SCNs) == 0 {
 		return
 	}
-	sh := e.shards[e.router.Shard(q.tasks[0].SCNs[0])]
+	sh := e.shards[e.scnShard[q.tasks[0].SCNs[0]]]
 	sh.routedSubs.Add(1)
 	sh.routedTasks.Add(uint64(len(q.tasks)))
 }
 
 // accountShed attributes a shed submission's tasks to its home shard
 // (the same first-task first-SCN key accountRouting and the client-side
-// ShardPool route by). Called from the shed paths on handler
-// goroutines; the router mapping is immutable and the counter atomic,
-// so no lock is needed.
+// ShardPool route by). Called from the shed path, under mu.
 func (e *Engine) accountShed(q *wireReq) {
-	if e.router == nil || len(q.tasks) == 0 || len(q.tasks[0].SCNs) == 0 {
+	if len(q.tasks) == 0 || len(q.tasks[0].SCNs) == 0 {
 		return
 	}
-	e.shards[e.router.Shard(q.tasks[0].SCNs[0])].shedTasks.Add(uint64(len(q.tasks)))
+	e.shards[e.scnShard[q.tasks[0].SCNs[0]]].shedTasks.Add(uint64(len(q.tasks)))
 }

@@ -255,35 +255,32 @@ func TestServeSmokeShards(t *testing.T) {
 // TestShardedCheckpointCompatAndMismatch covers the cross-layout restore
 // matrix: a pre-sharding single-file checkpoint restores into a sharded
 // daemon and continues bit-identically (the upgrade path), while a
-// sharded manifest is rejected by an unsharded engine and by a different
-// shard count.
+// manifest is rejected by a different shard count.
 func TestShardedCheckpointCompatAndMismatch(t *testing.T) {
 	const T, seed = 160, 13
 	sc := testScenario(T, seed)
 	dir := t.TempDir()
-	legacy := filepath.Join(dir, "legacy.ckpt")
 	sharded := filepath.Join(dir, "sharded.ckpt")
 
-	// Produce a legacy single-file checkpoint at slot 80 (unsharded
-	// daemon, graceful stop) and a sharded manifest at the same slot.
-	for _, cfg := range []struct {
-		path   string
-		shards int
-	}{{legacy, 1}, {sharded, 4}} {
-		eng, srv, _ := bootDaemon(t, sc, func(c *Config) {
-			c.Shards = cfg.shards
-			c.CheckpointPath = cfg.path
-		})
-		rep, err := NewReplayer(sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := rep.Run(shardPoolFor(srv, cfg.shards), 0, 80, nil); err != nil {
-			t.Fatal(err)
-		}
-		eng.Stop()
-		srv.Close()
+	// The legacy single-file checkpoint is a committed fixture: written
+	// by the pre-sharding engine for this scenario at slot 80 (graceful
+	// stop after a lockstep replay of slots 0..79), before the engine
+	// stopped writing that layout. Next to it, a manifest at the same
+	// slot from a Shards=4 daemon.
+	legacy := filepath.Join("testdata", "legacy_slot80.ckpt")
+	engA, srvA, _ := bootDaemon(t, sc, func(c *Config) {
+		c.Shards = 4
+		c.CheckpointPath = sharded
+	})
+	repA, err := NewReplayer(sc)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if _, err := repA.Run(shardPoolFor(srvA, 4), 0, 80, nil); err != nil {
+		t.Fatal(err)
+	}
+	engA.Stop()
+	srvA.Close()
 
 	// Upgrade path: the legacy document restores into a Shards=4 daemon,
 	// which then finishes the run bit-identically to an uninterrupted
@@ -319,8 +316,7 @@ func TestShardedCheckpointCompatAndMismatch(t *testing.T) {
 		t.Fatalf("legacy-into-sharded resume diverged: %x vs %x", engB.CumReward(), engC.CumReward())
 	}
 
-	// Mismatch paths: sharded manifest into an unsharded engine, and into
-	// the wrong shard count.
+	// Mismatch paths: a Shards=4 manifest into one shard and into two.
 	for _, bad := range []int{1, 2} {
 		eng := buildDaemon(t, sc, func(c *Config) { c.Shards = bad })
 		if err := eng.Restore(sharded); err == nil {

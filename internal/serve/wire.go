@@ -148,9 +148,9 @@ type Stats struct {
 	// SLO is the rolling-window latency/shed-rate summary (present only
 	// when the engine was configured with an obs.SLO tracker).
 	SLO *obs.SLOReport `json:"slo,omitempty"`
-	// Shards is the per-shard breakdown of a sharded engine (empty when
-	// unsharded): routing and shed attribution by home shard, plus each
-	// shard's last-slot leg durations of the two-phase barrier.
+	// Shards is the per-shard breakdown of the learner plane: routing and
+	// shed attribution by home shard, plus each shard's last-slot leg
+	// durations of the two-phase barrier.
 	Shards []ShardStat `json:"shards,omitempty"`
 	// Scenario describes the active scenario timeline at the current
 	// slot (present only when the engine was configured with one).
@@ -219,12 +219,12 @@ var errBodyTooLarge = errors.New("serve: request body exceeds 8 MiB")
 
 // wireReq is one request travelling the zero-allocation data plane: the
 // pooled body buffer, the decoded fields (task specs aliasing the packed
-// ctx/scn arrays below — nothing per-task is allocated), the handler↔
-// engine reply channel, and the engine-filled reply storage. A wireReq
-// is owned by exactly one goroutine at a time: the handler decodes and
-// validates, the engine reads tasks/reports and writes assignedBuf up to
-// the moment it replies on resp, and the handler encodes the response
-// and recycles the object. Recycling is safe immediately after the
+// ctx/scn arrays below — nothing per-task is allocated), the slot
+// decision's reply channel, and the engine-filled reply storage. A
+// wireReq has one owner at a time: the handler decodes and validates,
+// the slot machine (on whichever stack closes the request's slot) reads
+// tasks/reports and writes assignedBuf up to the moment it replies on
+// resp, and the handler encodes the response and recycles the object. Recycling is safe immediately after the
 // reply because the engine copies everything it needs (the view build
 // packs contexts and coverage into engine-owned scratch) before
 // replying.
@@ -245,7 +245,8 @@ type wireReq struct {
 	scnBuf []int
 	offs   [][4]int32
 
-	// Validation scratch (per-SCN coverage counts, handler goroutine).
+	// Validation scratch: per-SCN coverage counts, filled on the handler
+	// goroutine and read by the batcher's overflow check while queued.
 	counts []int
 
 	// cells holds each task's hypercube cell index, computed by
@@ -254,8 +255,8 @@ type wireReq struct {
 	// request, already done by the time the engine stages the tasks.
 	cells []int
 
-	// Handler↔engine protocol. resp has capacity 1 so the engine never
-	// blocks replying to a handler that already gave up.
+	// The slot decision's reply. Capacity 1: in lockstep the request's
+	// own stack decides its slot and replies before it waits.
 	resp chan stepReply
 
 	// Engine-filled reply storage: the submission's slice of the slot
